@@ -1,12 +1,9 @@
 //! Criterion micro-benchmarks of the workload generation layer: the kvp
-//! generator (Fig 8's inner loop) and the YCSB request distributions.
+//! generator (Fig 8's inner loop) and the seeded random streams under it.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use simkit::rng::Stream;
 use tpcx_iot::datagen::ReadingGenerator;
-use ycsb::generator::{
-    Generator, LatestGenerator, ScrambledZipfianGenerator, UniformGenerator, ZipfianGenerator,
-};
 
 fn kvp_generation(c: &mut Criterion) {
     let mut group = c.benchmark_group("datagen");
@@ -21,33 +18,6 @@ fn kvp_generation(c: &mut Criterion) {
     let mut generator = ReadingGenerator::new("PSS-000000", 2, 1_700_000_000_000, 10);
     group.bench_function("next_reading_struct", |b| {
         b.iter(|| criterion::black_box(generator.next_reading()))
-    });
-    group.finish();
-}
-
-fn distributions(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ycsb_generators");
-    group.throughput(Throughput::Elements(1));
-    let mut rng = Stream::new(3);
-
-    let mut zipf = ZipfianGenerator::new(1_000_000);
-    group.bench_function("zipfian", |b| {
-        b.iter(|| criterion::black_box(zipf.next_value(&mut rng)))
-    });
-
-    let mut scrambled = ScrambledZipfianGenerator::new(1_000_000);
-    group.bench_function("scrambled_zipfian", |b| {
-        b.iter(|| criterion::black_box(scrambled.next_value(&mut rng)))
-    });
-
-    let mut latest = LatestGenerator::new(1_000_000);
-    group.bench_function("latest", |b| {
-        b.iter(|| criterion::black_box(latest.next_value(&mut rng)))
-    });
-
-    let mut uniform = UniformGenerator::new(0, 999_999);
-    group.bench_function("uniform", |b| {
-        b.iter(|| criterion::black_box(uniform.next_value(&mut rng)))
     });
     group.finish();
 }
@@ -68,6 +38,6 @@ fn rng_stream(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(50);
-    targets = kvp_generation, distributions, rng_stream
+    targets = kvp_generation, rng_stream
 }
 criterion_main!(benches);

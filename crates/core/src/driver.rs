@@ -162,8 +162,9 @@ pub fn run_driver_with_telemetry(
                 let mut since_query = 0u64;
                 let batch_size = config.batch_size.max(1);
                 let mut buf: Vec<(bytes::Bytes, bytes::Bytes)> = Vec::with_capacity(batch_size);
-                // Flushes the write buffer as one backend batch. The batch
-                // is the retry and acknowledgement unit: an error means
+                // Flushes the write buffer as one backend op: a plain
+                // insert at batch size 1, one batch otherwise. The op is
+                // the retry and acknowledgement unit: an error means
                 // nothing in it was acked, so all of it counts as failed.
                 let flush = |buf: &mut Vec<(bytes::Bytes, bytes::Bytes)>,
                              retry_rng: &mut Stream,
@@ -174,15 +175,24 @@ pub fn run_driver_with_telemetry(
                     }
                     let fill = buf.len() as u64;
                     let op_start = Instant::now();
-                    let attempt =
-                        with_retry(&config.retry, retry_rng, || backend.insert_batch(buf));
+                    let attempt = with_retry(&config.retry, retry_rng, || {
+                        if batch_size == 1 {
+                            backend.insert(&buf[0].0, &buf[0].1)
+                        } else {
+                            backend.insert_batch(buf)
+                        }
+                    });
                     out.insert_retries += attempt.retries;
                     let latency = op_start.elapsed().as_nanos() as u64;
                     match attempt.result {
                         Ok(()) => {
                             measurements.record_ok(OpKind::Insert, latency);
                             if let (Some(rec), Some(t)) = (recorder.as_mut(), telemetry) {
-                                rec.record_batch(t.now_nanos(), latency, fill, attempt.retries);
+                                if batch_size == 1 {
+                                    rec.record_ingest(t.now_nanos(), latency, attempt.retries);
+                                } else {
+                                    rec.record_batch(t.now_nanos(), latency, fill, attempt.retries);
+                                }
                             }
                             out.ingested += fill;
                         }
@@ -197,34 +207,9 @@ pub fn run_driver_with_telemetry(
                     buf.clear();
                 };
                 for _ in 0..quota {
-                    let (k, v) = gen.next_kvp();
-                    if batch_size > 1 {
-                        buf.push((k, v));
-                        if buf.len() >= batch_size {
-                            flush(&mut buf, &mut retry_rng, &mut recorder, &mut out);
-                        }
-                    } else {
-                        let op_start = Instant::now();
-                        let attempt =
-                            with_retry(&config.retry, &mut retry_rng, || backend.insert(&k, &v));
-                        out.insert_retries += attempt.retries;
-                        let latency = op_start.elapsed().as_nanos() as u64;
-                        match attempt.result {
-                            Ok(()) => {
-                                measurements.record_ok(OpKind::Insert, latency);
-                                if let (Some(rec), Some(t)) = (recorder.as_mut(), telemetry) {
-                                    rec.record_ingest(t.now_nanos(), latency, attempt.retries);
-                                }
-                                out.ingested += 1;
-                            }
-                            Err(_) => {
-                                measurements.record_failure(OpKind::Insert, latency);
-                                if let Some(rec) = recorder.as_mut() {
-                                    rec.record_failed(latency);
-                                }
-                                out.insert_failures += 1;
-                            }
-                        }
+                    buf.push(gen.next_kvp());
+                    if buf.len() >= batch_size {
+                        flush(&mut buf, &mut retry_rng, &mut recorder, &mut out);
                     }
                     since_query += 1;
                     if since_query >= query_interval {
@@ -322,14 +307,9 @@ fn merge_moments(a: Moments, b: Moments) -> Moments {
         + b.variance() * b.count() as f64
         + delta * delta * (a.count() as f64 * b.count() as f64) / n as f64;
     let mut merged = Moments::new();
-    // Feed three synthetic points preserving count is impossible; instead
-    // we construct the merged accumulator directly.
     merged.restore(n, mean, m2, a.min().min(b.min()), a.max().max(b.max()));
     merged
 }
-
-/// A public alias so callers can name the instance.
-pub type DriverInstance = DriverConfig;
 
 #[cfg(test)]
 mod tests {

@@ -376,7 +376,8 @@ impl Cluster {
         self.config.effective_replication()
     }
 
-    /// Writes `key` to every live replica of its region, synchronously.
+    /// Writes `key` to every live replica of its region, synchronously —
+    /// a batch of one through the same path as [`Cluster::put_batch`].
     ///
     /// Degraded mode: down replicas are skipped and receive a hint
     /// (replayed on restart); the write is acknowledged as long as at
@@ -392,73 +393,10 @@ impl Cluster {
     /// any replica it has not reached yet instead of acking a row that
     /// only lives on a node the new topology no longer routes.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let now = self.fault_tick();
-        let (epoch, region_id, replicas) = {
-            let map = self.regions.read();
-            let region = map.lookup(key);
-            (map.epoch(), region.id, region.replicas.clone())
-        };
-        let mut live = Vec::with_capacity(replicas.len());
-        let mut down = Vec::new();
-        if let Some(fault) = &self.fault {
-            for &node in &replicas {
-                self.maybe_replay_hints(node, now);
-                match fault.judge(node, key, now) {
-                    FaultVerdict::Ok => live.push(node),
-                    FaultVerdict::NodeDown => down.push(node),
-                    // Fail before any replica write so a retried put
-                    // re-runs from a clean slate.
-                    FaultVerdict::Transient => {
-                        return Err(self.unavailable(format!("transient fault on node {node}")))
-                    }
-                }
-            }
-            if live.is_empty() {
-                return Err(self.unavailable("no live replica for write"));
-            }
-        } else {
-            live.extend_from_slice(&replicas);
-        }
-        // Count replica writes as they land, so the stats reconcile with
-        // per-node `writes` (and `node_db_stats`) even when a storage
-        // engine fails partway through the replica loop. `puts` is only
-        // bumped on full acknowledgement.
-        // ordering: Relaxed — every counter below is a statistic; the
-        // reconciliation invariant is over stats() snapshots, not a
-        // synchronization point, and the payload travels through the
-        // storage engine's own write path.
-        let mut written = 0u64;
-        for &node in &live {
-            let n = self.node(node);
-            if let Err(e) = n.db.put(key, value) {
-                self.replica_writes.fetch_add(written, Ordering::Relaxed);
-                return Err(e.into());
-            }
-            n.writes.fetch_add(1, Ordering::Relaxed);
-            written += 1;
-        }
-        for &node in &down {
-            self.node(node)
-                .hints
-                .lock()
-                .push((key.to_vec(), value.to_vec()));
-            self.hinted_writes.fetch_add(1, Ordering::Relaxed);
-            self.under_replicated_writes.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.fault.is_some() {
-            // Both handled sets fence the rewrite: a node that took the
-            // write directly or via hint needs no second copy.
-            let mut handled = live;
-            handled.extend_from_slice(&down);
-            written += self.fence_stale_route(key, value, epoch, &mut handled, now)?;
-        }
-        self.puts.fetch_add(1, Ordering::Relaxed);
-        self.replica_writes.fetch_add(written, Ordering::Relaxed);
-        self.note_region_writes(region_id, 1, key);
-        Ok(())
+        self.write_kvps(&[(key, value)])
     }
 
-    /// The epoch fence shared by `put` and `put_batch`: records the write
+    /// The epoch fence of the shared write path: records the write
     /// in active migration deltas, then re-checks the map epoch and
     /// re-writes to any replica of the *current* route not in `handled`.
     /// Loops until the epoch is stable — each pass either exits or
@@ -535,7 +473,7 @@ impl Cluster {
     /// [`WriteBatch`] — one WAL record and one group-commit slot per
     /// group instead of one per kvp.
     ///
-    /// Failure semantics mirror [`Cluster::put`], at batch granularity:
+    /// Failure semantics are [`Cluster::put`]'s, at batch granularity:
     /// a transient verdict or a group with no live replica fails the
     /// whole batch with [`GatewayError::Unavailable`] *before* any
     /// replica write, so the caller retries the batch as a unit from a
@@ -545,6 +483,23 @@ impl Cluster {
     pub fn put_batch(&self, items: &[(Bytes, Bytes)]) -> Result<()> {
         if items.is_empty() {
             return Ok(());
+        }
+        let kvps: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+        self.write_kvps(&kvps)?;
+        // ordering: Relaxed — statistics counters. Only real batches
+        // count here: the two feed the exported mean batch fill.
+        self.batched_puts
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        self.put_batches.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// The write path behind `put` and `put_batch`: group per region,
+    /// judge every `(node, group)` pair, write the groups, hint down
+    /// replicas, then run the epoch fence per kvp.
+    fn write_kvps(&self, items: &[(&[u8], &[u8])]) -> Result<()> {
+        if items.iter().any(|(key, _)| key.is_empty()) {
+            return Err(iotkv::Error::invalid("key must not be empty").into());
         }
         let now = self.fault_tick();
         // Group item indices per region id; BTreeMap keeps group order
@@ -563,15 +518,15 @@ impl Cluster {
                     .push(idx);
             }
         }
-        // Judge every (node, group) pair before any write: the batch is
-        // the retry unit, so nothing may land if the batch fails.
+        // Judge every (node, group) pair before any write: the call is
+        // the retry unit, so nothing may land if it fails.
         let mut plans: Vec<(&Vec<usize>, Vec<usize>, Vec<usize>)> =
             Vec::with_capacity(groups.len());
         for (replicas, idxs) in groups.values() {
             let mut live = Vec::with_capacity(replicas.len());
             let mut down = Vec::new();
             if let Some(fault) = &self.fault {
-                let keys: Vec<&[u8]> = idxs.iter().map(|&i| items[i].0.as_ref()).collect();
+                let keys: Vec<&[u8]> = idxs.iter().map(|&i| items[i].0).collect();
                 for &node in replicas {
                     self.maybe_replay_hints(node, now);
                     match fault.judge_batch(node, &keys, now) {
@@ -583,20 +538,27 @@ impl Cluster {
                     }
                 }
                 if live.is_empty() {
-                    return Err(self.unavailable("no live replica for batched write"));
+                    return Err(self.unavailable("no live replica for write"));
                 }
             } else {
                 live.extend_from_slice(replicas);
             }
             plans.push((idxs, live, down));
         }
-        // ordering: Relaxed — every counter below is a statistic (see put()).
+        // Count replica writes as they land, so the stats reconcile with
+        // per-node `writes` (and `node_db_stats`) even when a storage
+        // engine fails partway through the replica loop. `puts` is only
+        // bumped on full acknowledgement.
+        // ordering: Relaxed — every counter below is a statistic; the
+        // reconciliation invariant is over stats() snapshots, not a
+        // synchronization point, and the payload travels through the
+        // storage engine's own write path.
         let mut written = 0u64;
         for (idxs, live, down) in &plans {
             for &node in live {
                 let mut batch = WriteBatch::new();
                 for &i in idxs.iter() {
-                    batch.put(&items[i].0, &items[i].1);
+                    batch.put(items[i].0, items[i].1);
                 }
                 let n = self.node(node);
                 if let Err(e) = n.db.write(batch) {
@@ -619,27 +581,25 @@ impl Cluster {
             }
         }
         if self.fault.is_some() {
-            // Per-kvp epoch fence (see put()): the batch landed as one
-            // unit, but a concurrent topology change re-routes each key
-            // independently.
+            // The groups landed as units, but a concurrent topology
+            // change re-routes each key independently. Both handled sets
+            // fence the rewrite: a node that took the write directly or
+            // via hint needs no second copy.
             for (idxs, live, down) in &plans {
                 for &i in idxs.iter() {
                     let mut handled = live.clone();
                     handled.extend_from_slice(down);
-                    written +=
-                        self.fence_stale_route(&items[i].0, &items[i].1, epoch, &mut handled, now)?;
+                    let (key, value) = items[i];
+                    written += self.fence_stale_route(key, value, epoch, &mut handled, now)?;
                 }
             }
         }
         for (region_id, (_, idxs)) in &groups {
             if let Some(&last) = idxs.last() {
-                self.note_region_writes(*region_id, idxs.len() as u64, &items[last].0);
+                self.note_region_writes(*region_id, idxs.len() as u64, items[last].0);
             }
         }
         self.puts.fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.batched_puts
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        self.put_batches.fetch_add(1, Ordering::Relaxed);
         self.replica_writes.fetch_add(written, Ordering::Relaxed);
         Ok(())
     }
@@ -1484,6 +1444,11 @@ mod tests {
         assert_eq!(stats.replica_writes, 30, "3 replicas per kvp");
         assert_eq!(c.get(b"k007").unwrap().unwrap().as_ref(), b"v");
         assert_eq!(c.scan(b"k", b"kzzz", 100).unwrap().len(), 10);
+        // Both write entry points refuse an empty key before writing.
+        let empty = [(Bytes::new(), Bytes::from_static(b"v"))];
+        assert!(matches!(c.put(b"", b"v"), Err(GatewayError::Storage(_))));
+        assert!(matches!(c.put_batch(&empty), Err(GatewayError::Storage(_))));
+        assert_eq!(c.stats().replica_writes, 30);
         destroy(c);
     }
 
@@ -1509,6 +1474,54 @@ mod tests {
         let rows = c.scan(b"a", b"zz", 100).unwrap();
         assert_eq!(rows.len(), 4);
         destroy(c);
+    }
+
+    #[test]
+    fn put_is_a_batch_of_one() {
+        // Twin clusters on one seeded plan: node 1 is down for ops
+        // 40..100 (hints, then replay) and transient faults hit a fifth
+        // of the (node, key) pairs. One twin writes with `put`, the
+        // other with one-kvp `put_batch` calls over the same keys.
+        let plan = FaultPlan::quiet(0x0b5e_55ed)
+            .with_crash(1, 40, Some(60))
+            .with_transient(0.2, 2);
+        let start = |name: &str| {
+            let mut config = ClusterConfig::new(tmpdir(name), 3);
+            config.storage = Options::small();
+            config.split_points = vec![Bytes::from_static(b"k1")];
+            config.fault_plan = Some(plan.clone());
+            Cluster::start(config).unwrap()
+        };
+        let single = start("equiv-put");
+        let batched = start("equiv-batch");
+        let kind = |r: &Result<()>| r.as_ref().map_err(std::mem::discriminant).err();
+        let mut acked = 0;
+        for i in 0..200 {
+            let (key, value) = (format!("k{i:03}"), format!("v{i}"));
+            let a = single.put(key.as_bytes(), value.as_bytes());
+            let b = batched.put_batch(&[(Bytes::from(key.clone()), Bytes::from(value))]);
+            assert_eq!(kind(&a), kind(&b), "{key}: put {a:?} vs put_batch {b:?}");
+            acked += u64::from(a.is_ok());
+        }
+        for node in 0..3 {
+            assert_eq!(
+                format!("{:?}", single.node_db_stats(node)),
+                format!("{:?}", batched.node_db_stats(node)),
+                "node {node} engine stats"
+            );
+            let rows = |c: &Cluster| c.node(node).db.scan(b"\0", b"\xff", usize::MAX).unwrap();
+            assert_eq!(rows(&single), rows(&batched), "node {node} contents");
+        }
+        let s = single.stats();
+        let mut b = batched.stats();
+        assert_eq!((s.batched_puts, s.put_batches), (0, 0));
+        assert_eq!((b.batched_puts, b.put_batches), (acked, acked));
+        assert!(s.resilience.hinted_writes > 0, "the crash window hinted");
+        assert!(s.resilience.unavailable_errors > 0, "transients fired");
+        (b.batched_puts, b.put_batches) = (0, 0);
+        assert_eq!(format!("{s:?}"), format!("{b:?}"));
+        destroy(single);
+        destroy(batched);
     }
 
     #[test]

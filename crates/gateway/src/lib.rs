@@ -16,16 +16,11 @@
 //!   regions fan out and concatenate in key order,
 //! * [`Cluster::purge`] implements the benchmark's *system cleanup* step:
 //!   all ingested data is dropped and the storage engines restart.
-//!
-//! [`GatewayKvStore`] adapts the cluster to the YCSB database interface so
-//! both the classic core workloads and the TPCx-IoT driver run against it
-//! unchanged.
 
 pub mod cluster;
 pub mod fault;
 pub mod region;
 pub mod server;
-pub mod store_adapter;
 pub mod topology;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterStats};
@@ -34,7 +29,6 @@ pub use fault::{
 };
 pub use region::{Region, RegionMap};
 pub use server::GatewayServer;
-pub use store_adapter::GatewayKvStore;
 
 /// Errors surfaced by the cluster.
 #[derive(Clone, Debug)]

@@ -13,7 +13,8 @@
 
 use crate::cluster::Cluster;
 use crate::GatewayError;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,14 +26,19 @@ use wire::{FrameConn, Message, WireError};
 /// How long the accept loop sleeps between non-blocking accept polls.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
+/// Raw clones of the live accepted streams, keyed by connection id. A
+/// handler removes its own entry when it exits; `stop()` shuts down
+/// whatever is still registered.
+type ConnRegistry = Arc<Mutex<HashMap<u64, TcpStream>>>;
+
 /// A running gateway socket server. Dropping it stops the accept loop
 /// and severs every open connection.
 pub struct GatewayServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    /// Raw clones of every accepted stream, kept so `stop()` can unblock
-    /// handlers parked in a read.
-    conns: Arc<parking_lot::Mutex<Vec<TcpStream>>>,
+    /// Live connections, kept so `stop()` can unblock handlers parked
+    /// in a read.
+    conns: ConnRegistry,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -55,8 +61,7 @@ impl GatewayServer {
         // self-dial to wake a blocking accept.
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<parking_lot::Mutex<Vec<TcpStream>>> =
-            Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let conns = ConnRegistry::default();
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let conns = Arc::clone(&conns);
@@ -83,11 +88,13 @@ impl GatewayServer {
         // ordering: Relaxed — the flag is a latch polled by the accept
         // loop and handlers; no data is published through it.
         self.stop.store(true, Ordering::Relaxed);
-        for conn in self.conns.lock().drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
+        // Join the accept loop first so no connection registers after
+        // the sweep below.
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
+        }
+        for (_, conn) in self.conns.lock().drain() {
+            let _ = conn.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -102,9 +109,10 @@ fn accept_loop(
     listener: TcpListener,
     cluster: Arc<RwLock<Cluster>>,
     stop: Arc<AtomicBool>,
-    conns: Arc<parking_lot::Mutex<Vec<TcpStream>>>,
+    conns: ConnRegistry,
     read_timeout: Duration,
 ) {
+    let mut next_id = 0u64;
     // ordering: Relaxed — shutdown latch (see `stop`).
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -115,15 +123,19 @@ fn accept_loop(
                 if stream.set_nonblocking(false).is_err() {
                     continue;
                 }
+                let id = next_id;
+                next_id += 1;
                 if let Ok(raw) = stream.try_clone() {
-                    conns.lock().push(raw);
+                    conns.lock().insert(id, raw);
                 }
                 let cluster = Arc::clone(&cluster);
                 let stop = Arc::clone(&stop);
+                let conns = Arc::clone(&conns);
                 std::thread::spawn(move || {
                     if let Ok(conn) = FrameConn::new(stream, read_timeout) {
                         serve_conn(conn, cluster, stop);
                     }
+                    conns.lock().remove(&id);
                 });
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(ACCEPT_POLL),
@@ -401,6 +413,32 @@ mod tests {
         let mut conn = dial(&server);
         server.stop();
         // The severed socket surfaces as an error, not a 30s hang.
+        assert!(conn.request(&Message::Ping).is_err());
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn finished_connections_leave_the_registry() {
+        let (cluster, dir) = start_cluster("registry");
+        let mut server =
+            GatewayServer::start(Arc::clone(&cluster), "127.0.0.1:0", Duration::from_secs(30))
+                .unwrap();
+        for _ in 0..50 {
+            drop(dial(&server));
+        }
+        // Handlers exit on the peer's EOF and deregister themselves.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !server.conns.lock().is_empty() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} closed connections still registered",
+                server.conns.lock().len()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut conn = dial(&server);
+        server.stop();
+        assert!(server.conns.lock().is_empty());
         assert!(conn.request(&Message::Ping).is_err());
         std::fs::remove_dir_all(dir).ok();
     }

@@ -1,50 +1,21 @@
-//! Per-operation latency and throughput measurement.
+//! Per-operation latency measurement.
 
 use simkit::stats::{Histogram, Summary};
 use simkit::sync::Mutex;
-use std::time::Instant;
 
-/// The YCSB operation taxonomy (TPCx-IoT uses `Insert` for ingestion and
-/// `Scan` for its range queries).
+/// The YCSB operation kinds TPCx-IoT uses: `Insert` for ingestion and
+/// `Scan` for its dashboard range queries.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum OpKind {
-    Read,
-    Update,
     Insert,
     Scan,
-    ReadModifyWrite,
-    Delete,
 }
 
 impl OpKind {
-    pub const ALL: [OpKind; 6] = [
-        OpKind::Read,
-        OpKind::Update,
-        OpKind::Insert,
-        OpKind::Scan,
-        OpKind::ReadModifyWrite,
-        OpKind::Delete,
-    ];
-
     fn index(self) -> usize {
         match self {
-            OpKind::Read => 0,
-            OpKind::Update => 1,
-            OpKind::Insert => 2,
-            OpKind::Scan => 3,
-            OpKind::ReadModifyWrite => 4,
-            OpKind::Delete => 5,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Read => "READ",
-            OpKind::Update => "UPDATE",
-            OpKind::Insert => "INSERT",
-            OpKind::Scan => "SCAN",
-            OpKind::ReadModifyWrite => "RMW",
-            OpKind::Delete => "DELETE",
+            OpKind::Insert => 0,
+            OpKind::Scan => 1,
         }
     }
 }
@@ -58,8 +29,7 @@ struct Slot {
 
 /// Thread-safe measurement sink shared by all client threads.
 pub struct Measurements {
-    slots: [Mutex<Slot>; 6],
-    started: Instant,
+    slots: [Mutex<Slot>; 2],
 }
 
 impl Default for Measurements {
@@ -77,7 +47,6 @@ impl Measurements {
                     failed: Histogram::new(),
                 })
             }),
-            started: Instant::now(),
         }
     }
 
@@ -114,68 +83,6 @@ impl Measurements {
     pub fn failure_count(&self, kind: OpKind) -> u64 {
         self.slots[kind.index()].lock().failed.count()
     }
-
-    pub fn total_ops(&self) -> u64 {
-        OpKind::ALL.iter().map(|&k| self.ok_count(k)).sum()
-    }
-
-    /// Wall-clock seconds since this sink was created.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.started.elapsed().as_secs_f64()
-    }
-
-    /// Overall successful throughput in operations per second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed_secs();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.total_ops() as f64 / secs
-        }
-    }
-
-    /// Renders a YCSB-style report block.
-    pub fn report(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "[OVERALL] RunTime(s)={:.1} Throughput(ops/s)={:.1}",
-            self.elapsed_secs(),
-            self.throughput()
-        );
-        for kind in OpKind::ALL {
-            let s = self.summary(kind);
-            if s.count == 0 && self.failure_count(kind) == 0 {
-                continue;
-            }
-            let _ = writeln!(
-                out,
-                "[{}] ops={} failed={} avg(us)={:.1} min(us)={:.1} max(us)={:.1} p95(us)={:.1} p99(us)={:.1}",
-                kind.name(),
-                s.count,
-                self.failure_count(kind),
-                s.mean / 1e3,
-                s.min as f64 / 1e3,
-                s.max as f64 / 1e3,
-                s.p95 as f64 / 1e3,
-                s.p99 as f64 / 1e3,
-            );
-            let f = self.failed_summary(kind);
-            if f.count > 0 {
-                let _ = writeln!(
-                    out,
-                    "[{}-FAILED] ops={} avg(us)={:.1} max(us)={:.1} p95(us)={:.1}",
-                    kind.name(),
-                    f.count,
-                    f.mean / 1e3,
-                    f.max as f64 / 1e3,
-                    f.p95 as f64 / 1e3,
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -188,38 +95,27 @@ mod tests {
         m.record_ok(OpKind::Insert, 1000);
         m.record_ok(OpKind::Insert, 3000);
         m.record_ok(OpKind::Scan, 9000);
-        m.record_failure(OpKind::Read, 7000);
+        m.record_failure(OpKind::Scan, 7000);
 
         assert_eq!(m.ok_count(OpKind::Insert), 2);
         assert_eq!(m.ok_count(OpKind::Scan), 1);
-        assert_eq!(m.failure_count(OpKind::Read), 1);
-        assert_eq!(m.failed_summary(OpKind::Read).count, 1);
-        assert!(m.failed_summary(OpKind::Read).max >= 7000);
+        assert_eq!(m.failure_count(OpKind::Scan), 1);
+        assert_eq!(m.failed_summary(OpKind::Scan).count, 1);
+        assert!(m.failed_summary(OpKind::Scan).max >= 7000);
         assert_eq!(m.failed_summary(OpKind::Insert).count, 0);
-        assert_eq!(m.total_ops(), 3);
         assert_eq!(m.summary(OpKind::Insert).mean, 2000.0);
-        assert_eq!(m.summary(OpKind::Update).count, 0);
-    }
-
-    #[test]
-    fn report_mentions_active_kinds_only() {
-        let m = Measurements::new();
-        m.record_ok(OpKind::Insert, 500);
-        let report = m.report();
-        assert!(report.contains("[INSERT]"));
-        assert!(!report.contains("[SCAN]"));
-        assert!(report.contains("[OVERALL]"));
+        assert_eq!(m.failure_count(OpKind::Insert), 0);
     }
 
     #[test]
     fn quantiles_are_monotone() {
         let m = Measurements::new();
         for i in 1..=1000u64 {
-            m.record_ok(OpKind::Read, i * 1000);
+            m.record_ok(OpKind::Insert, i * 1000);
         }
-        let p50 = m.quantile(OpKind::Read, 0.5);
-        let p95 = m.quantile(OpKind::Read, 0.95);
-        let p99 = m.quantile(OpKind::Read, 0.99);
+        let p50 = m.quantile(OpKind::Insert, 0.5);
+        let p95 = m.quantile(OpKind::Insert, 0.95);
+        let p99 = m.quantile(OpKind::Insert, 0.99);
         assert!(p50 <= p95 && p95 <= p99);
     }
 }

@@ -48,6 +48,12 @@ if [[ "${1:-}" != "quick" ]]; then
     cargo test -q -p simkit --features race-check
     cargo test -q -p tpcx-iot --features race-check --test race_check
 
+    echo "== benchmark builds and passes its tests =="
+    # perfbench/ is its own Cargo workspace over path deps on the product
+    # crates, so a product API change that breaks it fails here. Cargo
+    # rewrites perfbench/Cargo.lock in place when dependency edges change.
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
     echo "== golden snapshots =="
     cargo test --release -q -p tpcx-iot --test golden_snapshot
 

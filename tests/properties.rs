@@ -394,32 +394,6 @@ mod query_props {
     }
 }
 
-mod generator_props {
-    use super::*;
-    use ycsb::generator::{Generator, HotspotGenerator, UniformGenerator, ZipfianGenerator};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// All YCSB generators stay within their configured ranges.
-        #[test]
-        fn generators_stay_in_range(
-            seed in any::<u64>(),
-            n in 1u64..10_000u64,
-        ) {
-            let mut rng = simkit::rng::Stream::new(seed);
-            let mut zipf = ZipfianGenerator::new(n);
-            let mut uni = UniformGenerator::new(0, n - 1);
-            let mut hot = HotspotGenerator::new(0, n - 1, 0.2, 0.8);
-            for _ in 0..200 {
-                prop_assert!(zipf.next_value(&mut rng) < n);
-                prop_assert!(uni.next_value(&mut rng) < n);
-                prop_assert!(hot.next_value(&mut rng) < n);
-            }
-        }
-    }
-}
-
 mod netplane_props {
     use super::*;
     use tpcx_iot::netplane::{recorder_from_state, recorder_to_state};

@@ -224,83 +224,6 @@ fn replica_bump(replica: &AtomicU64) {
     replica.fetch_add(1, Ordering::Release);
 }
 
-/// Model of the ycsb insert-key allocator after the AcqRel -> Relaxed
-/// downgrade of `key_sequence` (see EXPERIMENTS.md): id allocation is
-/// pure `fetch_add` uniqueness — no payload is published through the
-/// counter itself. Each inserter writes the payload slot its allocated
-/// id names; if Relaxed `fetch_add` could ever hand out a duplicate id,
-/// two threads would hit the same unsynchronized slot and the detector
-/// would flag a write-write race. Completed-insert visibility still
-/// flows through `acknowledged` (fetch_max AcqRel), as in the real
-/// workload, and is exercised by the concurrent watermark reader.
-#[test]
-fn ycsb_insert_ack_downgrade_is_race_free() {
-    use simkit::sync::RaceCell;
-
-    let report = Explorer::new(0x5e9_4110c, SCHEDULES).explore(|m| {
-        let key_sequence = Arc::new(AtomicU64::new(0));
-        let acknowledged = Arc::new(AtomicU64::new(0));
-        let slots: Arc<Vec<RaceCell<u64>>> =
-            Arc::new((0..4).map(|_| RaceCell::named("insert-slot", 0)).collect());
-
-        for _ in 0..2 {
-            let seq = Arc::clone(&key_sequence);
-            let ack = Arc::clone(&acknowledged);
-            let sl = Arc::clone(&slots);
-            m.thread(move || {
-                for _ in 0..2 {
-                    // ordering: Relaxed — pure id allocation, no payload
-                    // is published through this counter (the downgrade
-                    // under test).
-                    let id = seq.fetch_add(1, Ordering::Relaxed);
-                    sl[id as usize].set(id + 100);
-                    // ordering: Release half publishes the slot write
-                    // under the watermark; Acquire half keeps fetch_max
-                    // monotone across racing inserters.
-                    ack.fetch_max(id + 1, Ordering::AcqRel);
-                }
-            });
-        }
-
-        let ack = Arc::clone(&acknowledged);
-        let seq = Arc::clone(&key_sequence);
-        m.thread(move || {
-            // The watermark can ack id N while a *different* inserter's
-            // lower id is still in flight (fetch_max admits holes), so a
-            // concurrent reader must not dereference slots — it observes
-            // only the atomics, exactly like the real `next_keynum`.
-            // ordering: Acquire pairs with the inserters' AcqRel ack.
-            let acked = ack.load(Ordering::Acquire);
-            assert!(acked <= 4, "watermark overran the id space: {acked}");
-            // ordering: Relaxed — monotone allocation counter, bounds
-            // check only.
-            assert!(seq.load(Ordering::Relaxed) <= 4);
-        });
-
-        m.after(move || {
-            // ordering: post-join reads; every id was allocated exactly
-            // once (unique slots, checked below) and acked.
-            assert_eq!(key_sequence.load(Ordering::Relaxed), 4);
-            assert_eq!(acknowledged.load(Ordering::Relaxed), 4);
-            for id in 0..4u64 {
-                assert_eq!(
-                    slots[id as usize].get(),
-                    id + 100,
-                    "slot {id} written zero or multiple times"
-                );
-            }
-        });
-    });
-
-    assert!(report.schedules >= SCHEDULES);
-    assert!(report.choice_points > 0, "model never hit a choice point");
-    assert!(
-        report.is_race_free(),
-        "insert ack model raced: {:?}",
-        report.races
-    );
-}
-
 /// Closed model of the topology migration protocol
 /// (`gateway::topology`): two writers run the epoch-fenced put path
 /// (route → replicate → delta-capture → epoch re-check → re-replicate)
