@@ -1411,11 +1411,11 @@ mod tests {
         let c = small_cluster("partial", 3, &[]);
         c.put(b"k1", b"v").unwrap();
         // Break node 1's engine deterministically: wipe its directory,
-        // then flush — the failed memtable rotation records a background
-        // error that fails node 1's *next* write.
+        // then flush — the failed memtable rotation fails the flush and
+        // records a background error that fails node 1's *next* write.
         let node1_dir = c.config().data_dir.join("node-1");
         std::fs::remove_dir_all(&node1_dir).unwrap();
-        c.node(1).db.flush().unwrap();
+        c.node(1).db.flush().unwrap_err();
         let err = c.put(b"k2", b"v").unwrap_err();
         assert!(matches!(err, GatewayError::Storage(_)), "got {err}");
         let stats = c.stats();

@@ -3,19 +3,29 @@
 //!
 //! # Concurrency model
 //!
-//! * All writes funnel through a dedicated **commit thread** over a
-//!   crossbeam channel. The thread drains the channel in groups, appends
-//!   every batch in the group to the WAL, performs **one** flush/fsync per
-//!   group (group commit), applies the batches to the memtable, publishes
-//!   the new visible sequence number, and only then releases the waiting
-//!   writers. Group commit is what amortises `fsync` under concurrency —
-//!   the effect the paper's super-linear scaling region rides on.
+//! * Writes commit on the **caller's thread** through a LevelDB-style
+//!   writer queue. A writer pushes its batch and an empty result slot onto
+//!   `pending`, then tries the WAL lock. The holder of that lock (the
+//!   leader) drains up to [`MAX_GROUP`] queued batches — its own and those
+//!   of the writers parked behind it — appends the group to the WAL,
+//!   performs **one** flush/fsync for it (group commit), applies it to the
+//!   memtable, publishes the new visible sequence number, then fills and
+//!   wakes every slot. On release it wakes the writer at the head of the
+//!   queue, which leads the next group. Group commit is what amortises
+//!   `fsync` under concurrency — the effect the paper's super-linear
+//!   scaling region rides on.
+//! * The writer whose group fills the memtable freezes it, still under
+//!   the WAL lock. With background maintenance it first waits (the write
+//!   stall) until L0 and the frozen-memtable backlog are under their caps;
+//!   without it, it flushes and compacts inline (deterministic mode for
+//!   tests). `Db::flush` freezes under the same lock.
 //! * Reads are lock-light: they load the visible sequence number, snapshot
 //!   `Arc`s of the memtables and the current version, and proceed without
 //!   blocking writers.
-//! * Flush and compaction run either on a **background thread**
-//!   (`Options::background_compaction`) or inline on the commit thread
-//!   (deterministic mode for tests).
+//! * Flush and compaction run on a **background thread**
+//!   (`Options::background_compaction`) or inline on the freezing writer.
+//!   One maintenance lock serialises each step with `Db::flush` and
+//!   `Db::compact`, so no flush or compaction job runs twice.
 //! * Scans register a snapshot sequence number; compaction never discards
 //!   a version some registered snapshot still needs.
 
@@ -31,26 +41,38 @@ use crate::version::{
 use crate::wal::{LogReader, LogWriter};
 use crate::{CompactionStyle, Error, Options, Result, SeqNo, SyncMode};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use parking_lot::{Condvar, Mutex, RwLock};
-use simkit::sync::{AtomicBool, AtomicU64, Ordering};
+use parking_lot::Condvar;
+use simkit::sync::{park, AtomicBool, AtomicU64, Mutex, MutexGuard, Ordering, RwLock};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 
 /// Maximum batches merged into one commit group.
 const MAX_GROUP: usize = 128;
 
-enum CommitMsg {
-    Write {
-        batch: WriteBatch,
-        reply: Sender<Result<()>>,
-    },
-    Flush {
-        reply: Sender<Result<()>>,
-    },
-    Shutdown,
+/// Frozen memtables allowed to wait for their flush. Each one keeps up to
+/// `memtable_bytes` of keys and values on the heap until its table is
+/// written, so one engine buffers at most `(1 + MAX_FROZEN_MEMTABLES) *
+/// memtable_bytes`; with the 8 MiB default and three replicas per
+/// process, every extra frozen memtable is up to 24 MiB of resident heap.
+/// Freezing one more waits (the write stall) until the backlog drops. On
+/// batch-1 ingest (2-vCPU VM) a cap of 2 or 3 raised both peak RSS and the
+/// p999 insert latency over this cap, at the same throughput.
+const MAX_FROZEN_MEMTABLES: usize = 1;
+
+/// A queued writer: where the group that takes its batch leaves the
+/// result, and the thread to wake when it does.
+struct Slot {
+    result: Mutex<Option<Result<()>>>,
+    writer: Thread,
+}
+
+/// The WAL and the sequence counter, owned by the holder of the WAL lock.
+struct LogState {
+    wal: LogWriter,
+    wal_id: u64,
+    last_seq: SeqNo,
 }
 
 struct ImmMem {
@@ -138,11 +160,17 @@ struct DbInner {
     imm: Mutex<VecDeque<ImmMem>>,
     vset: Mutex<VersionState>,
     visible_seq: AtomicU64,
+    /// Batches waiting for the holder of `log` to commit them.
+    pending: Mutex<VecDeque<(WriteBatch, Arc<Slot>)>>,
+    /// The WAL lock: held for a whole commit group and for freezing.
+    log: Mutex<LogState>,
+    /// Held for one flush or compaction step.
+    maint: Mutex<()>,
     /// Active scan snapshots: seq -> refcount.
     snapshots: Mutex<BTreeMap<SeqNo, usize>>,
     counters: Counters,
     closed: AtomicBool,
-    bg_mutex: Mutex<()>,
+    bg_mutex: parking_lot::Mutex<()>,
     bg_cv: Condvar,
     bg_error: Mutex<Option<Error>>,
 }
@@ -162,7 +190,7 @@ impl DbInner {
             .keys()
             .next()
             .copied()
-            // ordering: Acquire — pairs with the commit thread's Release
+            // ordering: Acquire — pairs with the committing writer's Release
             // store; a snapshot taken at this seq must see the data it covers.
             .unwrap_or_else(|| self.visible_seq.load(Ordering::Acquire))
     }
@@ -193,8 +221,9 @@ impl DbInner {
             &self.dir,
             &ManifestState {
                 next_file_id: vset.next_file_id,
-                // ordering: Acquire — pairs with the commit thread's Release
-                // store so the manifest never records an unpublished seq.
+                // ordering: Acquire — pairs with the committing writer's
+                // Release store so the manifest never records an unpublished
+                // seq.
                 last_seq: self.visible_seq.load(Ordering::Acquire),
                 log_number: vset.log_number,
                 version: (*vset.version).clone(),
@@ -204,6 +233,7 @@ impl DbInner {
 
     /// Flushes the oldest immutable memtable to an L0 table.
     fn flush_one_imm(&self) -> Result<bool> {
+        let _maint = self.maint.lock();
         let front = {
             let imm = self.imm.lock();
             match imm.front() {
@@ -284,6 +314,7 @@ impl DbInner {
     /// Runs compactions until the tree satisfies its invariants.
     fn compact_until_quiet(&self) -> Result<()> {
         loop {
+            let _maint = self.maint.lock();
             let job = {
                 let vset = self.vset.lock();
                 match self.opts.compaction {
@@ -373,17 +404,178 @@ impl DbInner {
             CompactionStyle::SizeTiered => pick_tiered(&vset.version, &self.opts).is_some(),
         }
     }
+
+    /// Commits a batch on the caller's thread. The batch is queued; if the
+    /// WAL lock is free this writer leads groups until one has taken it,
+    /// otherwise it parks until a leader fills its slot or hands it the
+    /// lead.
+    fn write(&self, batch: WriteBatch) -> Result<()> {
+        self.check_bg_error()?;
+        let slot = Arc::new(Slot {
+            result: Mutex::new(None),
+            writer: std::thread::current(),
+        });
+        self.pending.lock().push_back((batch, Arc::clone(&slot)));
+        loop {
+            if let Some(result) = slot.result.lock().take() {
+                return result;
+            }
+            match self.log.try_lock() {
+                Some(mut log) => {
+                    self.commit_group(&mut log);
+                    self.release_log(log);
+                }
+                // The lock holder wakes this writer when it fills the slot
+                // or, on release, when this batch heads the queue.
+                None => park(),
+            }
+        }
+    }
+
+    /// Releases the WAL lock and wakes the writer at the head of the
+    /// queue, which queued while the lock was held and now leads.
+    fn release_log(&self, log: MutexGuard<'_, LogState>) {
+        drop(log);
+        if let Some((_, next)) = self.pending.lock().front() {
+            next.writer.unpark();
+        }
+    }
+
+    /// Commits up to `MAX_GROUP` queued batches as one group, fills their
+    /// slots, then freezes the memtable if the group filled it. Errors of
+    /// the freeze and of inline maintenance become the background error.
+    fn commit_group(&self, log: &mut LogState) {
+        let mut group: Vec<_> = {
+            let mut pending = self.pending.lock();
+            let n = pending.len().min(MAX_GROUP);
+            pending.drain(..n).collect()
+        };
+        // ordering: Relaxed — statistics counters.
+        self.counters.commit_groups.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .commit_batches
+            .fetch_add(group.len() as u64, Ordering::Relaxed);
+
+        let result = self.append_and_apply(log, &mut group);
+        for (_, slot) in &group {
+            *slot.result.lock() = Some(result.clone());
+            slot.writer.unpark();
+        }
+
+        if self.mem.read().approximate_bytes() >= self.opts.memtable_bytes {
+            let maintained = self.freeze_memtable(log).and_then(|()| {
+                if self.opts.background_compaction {
+                    return Ok(());
+                }
+                // Deterministic inline maintenance.
+                self.flush_one_imm()?;
+                self.compact_until_quiet()
+            });
+            if let Err(e) = maintained {
+                self.bg_error.lock().get_or_insert(e);
+            }
+        }
+    }
+
+    /// Sequence numbers and WAL append for the whole group, one flush/sync,
+    /// memtable apply, then the `Release` publish of the visible sequence.
+    fn append_and_apply(
+        &self,
+        log: &mut LogState,
+        group: &mut [(WriteBatch, Arc<Slot>)],
+    ) -> Result<()> {
+        for (batch, _) in group.iter_mut() {
+            batch.set_seq(log.last_seq + 1);
+            log.last_seq += batch.len() as u64;
+            log.wal.append(batch.encoded())?;
+        }
+        match self.opts.sync {
+            SyncMode::None => log.wal.flush()?,
+            SyncMode::GroupCommit => {
+                // ordering: Relaxed — statistics counter.
+                self.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
+                log.wal.sync()?;
+            }
+            SyncMode::Always => {
+                // ordering: Relaxed — statistics counter.
+                self.counters
+                    .wal_syncs
+                    .fetch_add(group.len() as u64, Ordering::Relaxed);
+                log.wal.sync()?;
+            }
+        }
+
+        let mem = Arc::clone(&self.mem.read());
+        let applied = group.iter().try_for_each(|(batch, _)| {
+            let (_, ops) = WriteBatch::decode(batch.encoded())?;
+            for op in ops {
+                let op = op?;
+                mem.add(&op.key, op.seq, op.kind, &op.value);
+            }
+            Ok(())
+        });
+        // ordering: Release — publishes the freshly applied memtable entries;
+        // pairs with the Acquire loads readers use to pick their snapshot seq.
+        self.visible_seq.store(log.last_seq, Ordering::Release);
+        applied
+    }
+
+    /// Freezes the active memtable and starts its successor's WAL; the
+    /// caller holds the WAL lock. With background maintenance this is where
+    /// writes stall, so the frozen backlog never exceeds
+    /// `MAX_FROZEN_MEMTABLES`.
+    fn freeze_memtable(&self, log: &mut LogState) -> Result<()> {
+        if self.opts.background_compaction {
+            self.stall_until_maintained()?;
+        }
+        log.wal.flush()?;
+        let new_id = self.alloc_file_id();
+        let new_wal = LogWriter::create(&wal_path(&self.dir, new_id))?;
+        let old_id = std::mem::replace(&mut log.wal_id, new_id);
+        log.wal = new_wal;
+        {
+            // Holding `imm` across the swap means a reader that already sees
+            // the new, empty memtable also sees the frozen one.
+            let mut imm = self.imm.lock();
+            let mem = std::mem::replace(&mut *self.mem.write(), Arc::new(MemTable::new()));
+            imm.push_back(ImmMem {
+                wal_id: old_id,
+                mem,
+            });
+        }
+        self.bg_cv.notify_all();
+        Ok(())
+    }
+
+    /// The write stall: waits until L0 is under its stall trigger and
+    /// fewer than `MAX_FROZEN_MEMTABLES` memtables wait for their flush.
+    /// Returns the background error instead of waiting on a background
+    /// thread that has stopped.
+    fn stall_until_maintained(&self) -> Result<()> {
+        loop {
+            let l0 = self.vset.lock().version.levels[0].len();
+            let frozen = self.imm.lock().len();
+            if l0 < self.opts.l0_stall_trigger && frozen < MAX_FROZEN_MEMTABLES {
+                return Ok(());
+            }
+            self.check_bg_error()?;
+            // ordering: Relaxed — statistics counter.
+            self.counters.stalls.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+    }
 }
 
 /// An embedded LSM key-value store. See the [crate docs](crate) for the
 /// architecture overview and an example.
 ///
-/// `Db` is cheap to share: clone the handle (internally `Arc`).
+/// Every method takes `&self` and `Db` is `Send + Sync`: share one
+/// instance across threads by reference or behind an `Arc`. Writes run on
+/// the calling thread; the only thread a `Db` owns is the optional
+/// background maintenance thread, which dropping the `Db` stops.
 pub struct Db {
     inner: Arc<DbInner>,
-    commit_tx: Sender<CommitMsg>,
-    commit_handle: Mutex<Option<JoinHandle<()>>>,
-    bg_handle: Mutex<Option<JoinHandle<()>>>,
+    bg_handle: Option<JoinHandle<()>>,
 }
 
 impl Db {
@@ -470,19 +662,20 @@ impl Db {
                 log_number,
             }),
             visible_seq: AtomicU64::new(last_seq),
+            pending: Mutex::new(VecDeque::new()),
+            log: Mutex::new(LogState {
+                wal,
+                wal_id,
+                last_seq,
+            }),
+            maint: Mutex::new(()),
             snapshots: Mutex::new(BTreeMap::new()),
             counters: Counters::default(),
             closed: AtomicBool::new(false),
-            bg_mutex: Mutex::new(()),
+            bg_mutex: parking_lot::Mutex::new(()),
             bg_cv: Condvar::new(),
             bg_error: Mutex::new(None),
         });
-
-        let (tx, rx) = bounded::<CommitMsg>(4096);
-        let commit_inner = Arc::clone(&inner);
-        let commit_handle = std::thread::Builder::new()
-            .name("iotkv-commit".into())
-            .spawn(move || commit_loop(commit_inner, rx, wal, wal_id, last_seq))?;
 
         let bg_handle = if opts.background_compaction {
             let bg_inner = Arc::clone(&inner);
@@ -495,12 +688,7 @@ impl Db {
             None
         };
 
-        Ok(Db {
-            inner,
-            commit_tx: tx,
-            commit_handle: Mutex::new(Some(commit_handle)),
-            bg_handle: Mutex::new(bg_handle),
-        })
+        Ok(Db { inner, bg_handle })
     }
 
     /// Inserts or overwrites `key`.
@@ -512,7 +700,7 @@ impl Db {
         batch.put(key, value);
         // ordering: Relaxed — statistics counter.
         self.inner.counters.puts.fetch_add(1, Ordering::Relaxed);
-        self.write_batch_internal(batch)
+        self.inner.write(batch)
     }
 
     /// Deletes `key` (writes a tombstone).
@@ -524,7 +712,7 @@ impl Db {
         batch.delete(key);
         // ordering: Relaxed — statistics counter.
         self.inner.counters.deletes.fetch_add(1, Ordering::Relaxed);
-        self.write_batch_internal(batch)
+        self.inner.write(batch)
     }
 
     /// Applies a batch atomically.
@@ -537,32 +725,15 @@ impl Db {
             .counters
             .puts
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        self.write_batch_internal(batch)
-    }
-
-    fn write_batch_internal(&self, batch: WriteBatch) -> Result<()> {
-        // ordering: Acquire — pairs with close()'s Release store; a writer
-        // that sees `closed` must also see the drained commit pipeline.
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(Error::Closed);
-        }
-        self.inner.check_bg_error()?;
-        let (reply_tx, reply_rx) = bounded(1);
-        self.commit_tx
-            .send(CommitMsg::Write {
-                batch,
-                reply: reply_tx,
-            })
-            .map_err(|_| Error::Closed)?;
-        reply_rx.recv().map_err(|_| Error::Closed)?
+        self.inner.write(batch)
     }
 
     /// Reads the newest visible value of `key`.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         // ordering: Relaxed — statistics counter.
         self.inner.counters.gets.fetch_add(1, Ordering::Relaxed);
-        // ordering: Acquire — pairs with the commit thread's Release store;
-        // reading seq N implies the memtable already holds N's entries.
+        // ordering: Acquire — pairs with the committing writer's Release
+        // store; reading seq N implies the memtable already holds N's entries.
         let seq = self.inner.visible_seq.load(Ordering::Acquire);
 
         // 1. Active memtable.
@@ -631,8 +802,8 @@ impl Db {
     pub fn scan_iter(&self, start: &[u8], end: &[u8]) -> ScanIter {
         // ordering: Relaxed — statistics counter.
         self.inner.counters.scans.fetch_add(1, Ordering::Relaxed);
-        // ordering: Acquire — pairs with the commit thread's Release store;
-        // the pinned snapshot must see every entry at or below seq.
+        // ordering: Acquire — pairs with the committing writer's Release
+        // store; the pinned snapshot must see every entry at or below seq.
         let seq = self.inner.visible_seq.load(Ordering::Acquire);
         self.inner.register_snapshot(seq);
 
@@ -681,19 +852,20 @@ impl Db {
 
     /// Forces the active memtable (and all frozen ones) to disk.
     pub fn flush(&self) -> Result<()> {
-        // ordering: Acquire — pairs with close()'s Release store.
-        if self.inner.closed.load(Ordering::Acquire) {
-            return Err(Error::Closed);
+        let mut log = self.inner.log.lock();
+        let frozen = if self.inner.mem.read().is_empty() {
+            Ok(())
+        } else {
+            self.inner.freeze_memtable(&mut log)
+        };
+        self.inner.release_log(log);
+        if let Err(e) = &frozen {
+            // As on the write path, a failed freeze stops further writes.
+            self.inner.bg_error.lock().get_or_insert_with(|| e.clone());
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.commit_tx
-            .send(CommitMsg::Flush { reply: reply_tx })
-            .map_err(|_| Error::Closed)?;
-        reply_rx.recv().map_err(|_| Error::Closed)??;
-        // Drain any frozen memtables from this thread.
+        frozen?;
         while self.inner.flush_one_imm()? {}
-        self.inner.compact_until_quiet()?;
-        Ok(())
+        self.inner.compact_until_quiet()
     }
 
     /// Runs compactions until the tree is quiescent.
@@ -804,199 +976,14 @@ impl Drop for ScanIter {
 
 impl Drop for Db {
     fn drop(&mut self) {
-        // ordering: Release — publishes the close decision; Acquire loads in
-        // the write/flush paths and worker loops observe it and stand down.
+        // ordering: Release — publishes the close decision; the background
+        // loop's Acquire loads observe it and stand down.
         self.inner.closed.store(true, Ordering::Release);
-        let _ = self.commit_tx.send(CommitMsg::Shutdown);
-        if let Some(h) = self.commit_handle.lock().take() {
-            let _ = h.join();
-        }
         self.inner.bg_cv.notify_all();
-        if let Some(h) = self.bg_handle.lock().take() {
+        if let Some(h) = self.bg_handle.take() {
             let _ = h.join();
         }
     }
-}
-
-/// The commit thread: group commit, memtable application, rotation.
-fn commit_loop(
-    inner: Arc<DbInner>,
-    rx: Receiver<CommitMsg>,
-    mut wal: LogWriter,
-    mut wal_id: u64,
-    mut last_seq: SeqNo,
-) {
-    let mut group: Vec<(WriteBatch, Sender<Result<()>>)> = Vec::with_capacity(MAX_GROUP);
-    'outer: loop {
-        group.clear();
-        let mut flush_replies: Vec<Sender<Result<()>>> = Vec::new();
-        let mut shutdown = false;
-
-        // Block for the first message, then opportunistically drain.
-        match rx.recv() {
-            Ok(CommitMsg::Write { batch, reply }) => group.push((batch, reply)),
-            Ok(CommitMsg::Flush { reply }) => flush_replies.push(reply),
-            Ok(CommitMsg::Shutdown) | Err(_) => break 'outer,
-        }
-        while group.len() < MAX_GROUP {
-            match rx.try_recv() {
-                Ok(CommitMsg::Write { batch, reply }) => group.push((batch, reply)),
-                Ok(CommitMsg::Flush { reply }) => flush_replies.push(reply),
-                Ok(CommitMsg::Shutdown) => {
-                    shutdown = true;
-                    break;
-                }
-                Err(_) => break,
-            }
-        }
-
-        // ordering: Relaxed — statistics counters.
-        inner.counters.commit_groups.fetch_add(1, Ordering::Relaxed);
-        inner
-            .counters
-            .commit_batches
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
-
-        // Stage 1: sequence + WAL append for the whole group.
-        let mut commit_err: Option<Error> = None;
-        for (batch, _) in group.iter_mut() {
-            let seq = last_seq + 1;
-            last_seq += batch.len() as u64;
-            batch.set_seq(seq);
-            if let Err(e) = wal.append(batch.encoded()) {
-                commit_err = Some(e);
-                break;
-            }
-        }
-        // Stage 2: one flush/sync per group.
-        if commit_err.is_none() {
-            let sync_result = match inner.opts.sync {
-                SyncMode::None => wal.flush(),
-                SyncMode::GroupCommit => {
-                    // ordering: Relaxed — statistics counter.
-                    inner.counters.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                    wal.sync()
-                }
-                SyncMode::Always => {
-                    // ordering: Relaxed — statistics counter.
-                    inner
-                        .counters
-                        .wal_syncs
-                        .fetch_add(group.len() as u64, Ordering::Relaxed);
-                    wal.sync()
-                }
-            };
-            if let Err(e) = sync_result {
-                commit_err = Some(e);
-            }
-        }
-
-        if let Some(e) = commit_err {
-            for (_, reply) in &group {
-                let _ = reply.send(Err(e.clone()));
-            }
-            for reply in &flush_replies {
-                let _ = reply.send(Err(e.clone()));
-            }
-            continue;
-        }
-
-        // Stage 3: apply to the memtable and publish visibility.
-        let mem = Arc::clone(&inner.mem.read());
-        let mut apply_err: Option<Error> = None;
-        'apply: for (batch, _) in &group {
-            match WriteBatch::decode(batch.encoded()) {
-                Ok((_, ops)) => {
-                    for op in ops {
-                        match op {
-                            Ok(op) => mem.add(&op.key, op.seq, op.kind, &op.value),
-                            Err(e) => {
-                                apply_err = Some(e);
-                                break 'apply;
-                            }
-                        }
-                    }
-                }
-                Err(e) => {
-                    apply_err = Some(e);
-                    break 'apply;
-                }
-            }
-        }
-        // ordering: Release — publishes the freshly applied memtable entries;
-        // pairs with the Acquire loads readers use to pick their snapshot seq.
-        inner.visible_seq.store(last_seq, Ordering::Release);
-        for (_, reply) in &group {
-            let _ = reply.send(match &apply_err {
-                None => Ok(()),
-                Some(e) => Err(e.clone()),
-            });
-        }
-
-        // Stage 4: rotation. A Flush request forces rotation of a
-        // non-empty memtable regardless of size.
-        let force_rotate = !flush_replies.is_empty() && !mem.is_empty();
-        if mem.approximate_bytes() >= inner.opts.memtable_bytes || force_rotate {
-            let rotate_result = rotate_memtable(&inner, &mut wal, &mut wal_id);
-            if let Err(e) = &rotate_result {
-                *inner.bg_error.lock() = Some(e.clone());
-            }
-            if inner.opts.background_compaction {
-                inner.bg_cv.notify_all();
-                // Write stall: L0 backed up beyond the stall trigger.
-                loop {
-                    let l0 = inner.vset.lock().version.levels[0].len();
-                    let imm_backlog = inner.imm.lock().len();
-                    if l0 < inner.opts.l0_stall_trigger && imm_backlog < 4 {
-                        break;
-                    }
-                    // ordering: Acquire — pairs with close()'s Release store.
-                    if inner.closed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    // ordering: Relaxed — statistics counter.
-                    inner.counters.stalls.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            } else {
-                // Deterministic inline maintenance.
-                let r = inner
-                    .flush_one_imm()
-                    .and_then(|_| inner.compact_until_quiet());
-                if let Err(e) = r {
-                    *inner.bg_error.lock() = Some(e.clone());
-                }
-            }
-        }
-        for reply in &flush_replies {
-            let _ = reply.send(Ok(()));
-        }
-
-        if shutdown {
-            break;
-        }
-    }
-    let _ = wal.flush();
-}
-
-fn rotate_memtable(inner: &Arc<DbInner>, wal: &mut LogWriter, wal_id: &mut u64) -> Result<()> {
-    wal.flush()?;
-    let new_id = inner.alloc_file_id();
-    let new_wal = LogWriter::create(&wal_path(&inner.dir, new_id))?;
-    let old_id = *wal_id;
-    *wal_id = new_id;
-    let old_wal = std::mem::replace(wal, new_wal);
-    drop(old_wal);
-
-    let old_mem = {
-        let mut mem = inner.mem.write();
-        std::mem::replace(&mut *mem, Arc::new(MemTable::new()))
-    };
-    inner.imm.lock().push_back(ImmMem {
-        wal_id: old_id,
-        mem: old_mem,
-    });
-    Ok(())
 }
 
 /// The background maintenance thread: flushes frozen memtables and runs
@@ -1006,7 +993,7 @@ fn background_loop(inner: Arc<DbInner>) {
         {
             let mut guard = inner.bg_mutex.lock();
             if !inner.maintenance_pending() {
-                // ordering: Acquire — pairs with close()'s Release store.
+                // ordering: Acquire — pairs with `Db::drop`'s Release store.
                 if inner.closed.load(Ordering::Acquire) {
                     return;
                 }
@@ -1015,7 +1002,7 @@ fn background_loop(inner: Arc<DbInner>) {
                     .wait_for(&mut guard, std::time::Duration::from_millis(20));
             }
         }
-        // ordering: Acquire — pairs with close()'s Release store.
+        // ordering: Acquire — pairs with `Db::drop`'s Release store.
         if inner.closed.load(Ordering::Acquire) && !inner.maintenance_pending() {
             return;
         }
@@ -1280,6 +1267,142 @@ mod tests {
                     .is_some());
             }
         }
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn flush_races_writers_without_losing_acked_keys() {
+        let dir = tmpdir("flushrace");
+        let mut opts = Options::small();
+        opts.background_compaction = true;
+        let db = Arc::new(Db::open(&dir, opts).unwrap());
+        let writers_done = Arc::new(AtomicU64::new(0));
+        let writers: Vec<_> = (0..4)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                let writers_done = Arc::clone(&writers_done);
+                std::thread::spawn(move || {
+                    for i in 0..400 {
+                        db.put(format!("t{t}-k{i:04}").as_bytes(), &[t as u8; 64])
+                            .unwrap();
+                    }
+                    // ordering: Relaxed — test-only completion count.
+                    writers_done.fetch_add(1, Ordering::Relaxed);
+                })
+            })
+            .collect();
+        let flusher = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut flushes = 0;
+                // ordering: Relaxed — test-only completion count.
+                while writers_done.load(Ordering::Relaxed) < 4 {
+                    db.flush().unwrap();
+                    flushes += 1;
+                }
+                flushes
+            })
+        };
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(flusher.join().unwrap() > 0);
+        for t in 0..4u8 {
+            for i in 0..400 {
+                let key = format!("t{t}-k{i:04}");
+                let got = db.get(key.as_bytes()).unwrap();
+                assert_eq!(got.as_deref(), Some(&[t; 64][..]), "acked key {key} lost");
+            }
+        }
+        let rows = db.scan(b"t", b"u", usize::MAX).unwrap();
+        assert_eq!(rows.len(), 1600);
+        let stats = db.stats();
+        assert_eq!(stats.commit_batches, 1600);
+        assert!(stats.commit_groups <= stats.commit_batches);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn frozen_memtables_stay_under_the_cap() {
+        let dir = tmpdir("frozencap");
+        let mut opts = Options::small();
+        opts.background_compaction = true;
+        let db = Arc::new(Db::open(&dir, opts).unwrap());
+        let writers: Vec<_> = (0..2)
+            .map(|t| {
+                let db = Arc::clone(&db);
+                std::thread::spawn(move || {
+                    for i in 0..1500 {
+                        db.put(format!("t{t}-k{i:05}").as_bytes(), &[0u8; 512])
+                            .unwrap();
+                        let frozen = db.inner.imm.lock().len();
+                        assert!(frozen <= MAX_FROZEN_MEMTABLES, "{frozen} frozen memtables");
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(db.stats().flushes > 0);
+        drop(db);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn write_stall_returns_background_error() {
+        let dir = tmpdir("stallerr");
+        let mut opts = Options::small();
+        opts.background_compaction = true;
+        opts.l0_stall_trigger = opts.l0_compaction_trigger;
+        let db = Arc::new(Db::open(&dir, opts).unwrap());
+        for t in 0..3 {
+            for i in 0..20 {
+                db.put(format!("k{t}-{i:03}").as_bytes(), &[1u8; 64])
+                    .unwrap();
+            }
+            db.flush().unwrap();
+        }
+        assert_eq!(db.stats().level_shape[0], 3);
+        // Corrupt the first data block of one L0 table in place: the next
+        // L0 compaction fails and the background thread stops.
+        let table = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .find(|p| p.extension().is_some_and(|e| e == "sst"))
+            .unwrap();
+        let mut data = std::fs::read(&table).unwrap();
+        for b in &mut data[8..24] {
+            *b ^= 0x5A;
+        }
+        std::fs::write(&table, &data).unwrap();
+
+        // Each write fills the memtable, so the second freeze stalls while
+        // the background thread is still flushing the first and has yet to
+        // reach the failing compaction.
+        let value = vec![2u8; 16 << 10];
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = {
+            let db = Arc::clone(&db);
+            std::thread::spawn(move || {
+                let mut i = 0u64;
+                let err = loop {
+                    if let Err(e) = db.put(format!("w-{i:08}").as_bytes(), &value) {
+                        break e;
+                    }
+                    i += 1;
+                };
+                tx.send(err).unwrap();
+            })
+        };
+        let err = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a write stalled behind a failed compaction must fail, not hang");
+        assert!(matches!(err, Error::Corruption(_)), "{err}");
+        writer.join().unwrap();
         drop(db);
         std::fs::remove_dir_all(dir).ok();
     }

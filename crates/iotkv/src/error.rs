@@ -19,8 +19,6 @@ pub enum Error {
     Corruption(String),
     /// The caller passed an argument the engine cannot honour.
     InvalidArgument(String),
-    /// The database has been shut down.
-    Closed,
 }
 
 impl Error {
@@ -39,7 +37,6 @@ impl fmt::Display for Error {
             Error::Io(e) => write!(f, "I/O error: {e}"),
             Error::Corruption(msg) => write!(f, "corruption: {msg}"),
             Error::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
-            Error::Closed => write!(f, "database is closed"),
         }
     }
 }
@@ -69,7 +66,6 @@ mod tests {
         assert_eq!(e.to_string(), "corruption: bad block crc");
         let e = Error::invalid("empty key");
         assert_eq!(e.to_string(), "invalid argument: empty key");
-        assert_eq!(Error::Closed.to_string(), "database is closed");
     }
 
     #[test]

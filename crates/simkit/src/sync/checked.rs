@@ -275,6 +275,17 @@ impl<T> Drop for RwLockWriteGuard<'_, T> {
     }
 }
 
+/// `std::thread::park`, except inside a model, where it is one choice
+/// point. That is a spurious wake-up, which `park` allows, so callers
+/// already re-check their condition in a loop.
+pub fn park() {
+    if model::in_model() {
+        model::yield_point();
+    } else {
+        std::thread::park();
+    }
+}
+
 /// Plain-data cell: `get`/`set` carry no synchronization semantics. The
 /// embedded mutex is storage only (it keeps the cell physically sound even
 /// off-session); logically the accesses are unsynchronized and are checked

@@ -17,6 +17,10 @@
 //!   Threads *not* registered with a session (including all ordinary tests)
 //!   fall through to the plain operation.
 //!
+//! [`park`] is `std::thread::park` outside a model and a single choice
+//! point inside one (a spurious wake-up, which `park` permits), so a
+//! waiter that parks between re-checks never blocks the turnstile.
+//!
 //! [`RaceCell`] is the one genuinely new type: a plain-data cell whose `get`/
 //! `set` carry **no** synchronization semantics. Under race-check it is how a
 //! model expresses "this access is only safe if a happens-before edge exists";

@@ -34,10 +34,11 @@
 //!
 //! Threads never registered with a session — ordinary test threads, or
 //! free-running helper threads a model happens to spawn (e.g. a storage
-//! engine's commit thread) — pass through the instrumented wrappers
-//! untouched: their accesses are neither serialized nor logged, so they can
-//! neither deadlock the turnstile nor produce false reports (they can,
-//! however, hide a race from the detector; keep models closed).
+//! engine's background maintenance thread) — pass through the
+//! instrumented wrappers untouched: their accesses are neither serialized
+//! nor logged, so they can neither deadlock the turnstile nor produce
+//! false reports (they can, however, hide a race from the detector; keep
+//! models closed).
 
 use crate::rng::{derive_seed, Stream};
 use parking_lot::{Condvar, Mutex};

@@ -2,6 +2,7 @@
 
 pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+pub use std::thread::park;
 
 /// Plain-data cell used by race-check models.
 ///

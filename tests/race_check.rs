@@ -3,12 +3,14 @@
 //! Compiled only with `--features race-check` (see `[[test]]` in
 //! `crates/core/Cargo.toml`): the feature swaps `simkit::sync` to the
 //! instrumented loom-lite wrappers across the whole dependency graph, so
-//! the *real* telemetry / memtable types run under the schedule explorer.
+//! the *real* telemetry / memtable / iotkv write-path types run under the
+//! schedule explorer.
 //!
 //! Each model explores >= 1000 seeded interleavings (CI gate). Models must
 //! stay closed: every thread that touches instrumented state is registered
 //! with the [`simkit::sync::model::Explorer`]; background OS threads (e.g.
-//! iotkv's commit thread) bypass instrumentation, so none are used here.
+//! iotkv's background maintenance thread) bypass instrumentation, so none
+//! are used here — the `Db` model runs with inline maintenance.
 //!
 //! Run with:
 //!
@@ -19,7 +21,7 @@
 use std::sync::Arc;
 
 use iotkv::memtable::MemTable;
-use iotkv::ValueKind;
+use iotkv::{Db, Options, ValueKind, WriteBatch};
 use simkit::sync::model::Explorer;
 use simkit::sync::{AtomicU64, Ordering};
 use tpcx_iot::telemetry::{Phase, RunTelemetry};
@@ -147,6 +149,68 @@ fn memtable_concurrent_insert_scan_is_race_free() {
     assert!(report.schedules >= SCHEDULES);
     assert!(report.choice_points > 0, "model never hit a choice point");
     assert!(report.is_race_free(), "memtable raced: {:?}", report.races);
+}
+
+/// Two writers each commit a 2-key batch to a real `Db` (inline
+/// maintenance, so the model owns every thread) through the caller-thread
+/// writer queue, while a reader scans at one snapshot. Whichever writer
+/// leads, and whether it takes one batch or both: the reader sees each
+/// batch whole or not at all (the memtable apply happens-before the
+/// `Release` publish of the visible sequence), both batches are visible
+/// after the join, and the group counters add up.
+#[test]
+fn db_group_commit_publishes_whole_batches() {
+    use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering as StdOrdering};
+
+    let base = std::env::temp_dir().join(format!("race-check-db-{}", std::process::id()));
+    let next_dir = StdAtomicU64::new(0);
+    let report = Explorer::new(0x0d_b6_c0_77, SCHEDULES).explore(|m| {
+        // ordering: Relaxed — a unique directory name per schedule.
+        let dir = base.join(next_dir.fetch_add(1, StdOrdering::Relaxed).to_string());
+        let db = Arc::new(Db::open(&dir, Options::small()).unwrap());
+
+        for w in ["a", "b"] {
+            let db = Arc::clone(&db);
+            m.thread(move || {
+                let mut batch = WriteBatch::new();
+                batch.put(format!("{w}1").as_bytes(), b"v");
+                batch.put(format!("{w}2").as_bytes(), b"v");
+                db.write(batch).unwrap();
+            });
+        }
+
+        let reader = Arc::clone(&db);
+        m.thread(move || {
+            let rows = reader.scan(b"a", b"c", usize::MAX).unwrap();
+            for w in [b'a', b'b'] {
+                let seen = rows.iter().filter(|(k, _)| k[0] == w).count();
+                assert!(seen == 0 || seen == 2, "torn batch: {rows:?}");
+            }
+        });
+
+        m.after(move || {
+            let rows = db.scan(b"a", b"c", usize::MAX).unwrap();
+            assert_eq!(rows.len(), 4, "a committed batch is missing: {rows:?}");
+            let stats = db.stats();
+            assert_eq!(stats.commit_batches, 2);
+            assert!(
+                (1..=2).contains(&stats.commit_groups),
+                "{} groups for 2 batches",
+                stats.commit_groups
+            );
+            drop(db);
+            std::fs::remove_dir_all(&dir).ok();
+        });
+    });
+    std::fs::remove_dir_all(&base).ok();
+
+    assert!(report.schedules >= SCHEDULES);
+    assert!(report.choice_points > 0, "model never hit a choice point");
+    assert!(
+        report.is_race_free(),
+        "db write path raced: {:?}",
+        report.races
+    );
 }
 
 /// Closed model of the cluster put-path counter discipline
